@@ -10,8 +10,8 @@ against the integrated initial-value problem.
 """
 
 from .rational import ComplexRational
-from .symbol_algebra import (ExpPolySymbol, POISSON_TENSOR, PoissonTensor,
-                             derive, p_r, poisson, star, star_commutator)
+from .symbol_algebra import (ExpPolySymbol, compose, derive, p_r, poisson,
+                             star, star_commutator)
 from .lie_aff import (LieAlgebraElement, GroupElement, CoadjointPoint, OrbitId,
                       UPPER_HALF_PLANE, LOWER_HALF_PLANE, X, Y,
                       DegenerateOrbitError, adjoint_matrix, bracket,
@@ -23,8 +23,7 @@ from .grids import (GridSpec, GridFunction, DomainTagError, cosine_taper,
                     spectral_derivative, tail_mass_fraction)
 from .quantize import (GeneratorOp, SeriesDivergenceError, apply_generator,
                        ell_z_truncated, generator_commutator_matches_bracket,
-                       s_operator_commutator, s_operator_terms,
-                       to_s_coordinates, verify_conjugation)
+                       generator_symbol, to_s_coordinates, verify_conjugation)
 from .representation import (HalfLineFunction, ReprChoice, OMEGA_PLUS,
                              OMEGA_MINUS, LatticeMismatchError,
                              SignMismatchError, character_apply,

@@ -123,15 +123,15 @@ def _cmd_lhat(args) -> int:
             print("on (x, q) grids:", record["xq_form"])
             print("on s grids:     ", record["s_form"])
         return 0
+    if not args.out:
+        print("error: --out is required with --apply", file=sys.stderr)
+        return 2
     read, write = {
         "csv": (aio.read_grid_csv, aio.write_grid_csv),
         "bin": (aio.read_grid_binary, aio.write_grid_binary),
     }[args.format]
     grid = read(args.apply)
     out = qz.apply_generator(op, grid, method=args.deriv)
-    if not args.out:
-        print("error: --out is required with --apply", file=sys.stderr)
-        return 2
     write(out, args.out)
     print(f"wrote {out.domain} grid to {args.out}")
     return 0

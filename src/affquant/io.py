@@ -181,12 +181,16 @@ def read_grid_binary(path) -> GridFunction:
     with open(path, "rb") as fh:
         header = fh.readline()
         spec, domain = _grid_from_header(json.loads(header.decode()))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    complex_vals = raw[0::2] + 1j * raw[1::2]
-    if domain == "s":
-        rows = complex_vals.reshape(1, -1)
-    else:
-        rows = complex_vals.reshape(spec.n_q, spec.n_p)
+        payload = fh.read()
+    shape = (1, spec.n_q) if domain == "s" else (spec.n_q, spec.n_p)
+    expected = 2 * shape[0] * shape[1]
+    if len(payload) != 8 * expected:
+        raise ValueError(
+            f"binary grid payload is {len(payload)} bytes ({len(payload) / 8:g} "
+            f"float64 values) but the header declares {expected} float64 values "
+            f"({shape[0]}x{shape[1]} complex samples)")
+    raw = np.frombuffer(payload, dtype="<f8")
+    rows = (raw[0::2] + 1j * raw[1::2]).reshape(shape)
     return _from_rows(spec, domain, rows)
 
 

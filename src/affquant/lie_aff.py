@@ -10,6 +10,7 @@ so property tests can run with zero tolerance on rationals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .symbol_algebra import ExpPolySymbol
@@ -101,6 +102,10 @@ def bracket(z: LieAlgebraElement, t: LieAlgebraElement) -> LieAlgebraElement:
     return LieAlgebraElement(0 * z.alpha, z.alpha * t.beta - t.alpha * z.beta)
 
 
+# log of the largest finite float: math.exp overflows above it.
+_EXP_MAX_ARG = math.log(sys.float_info.max)
+
+
 def exp_group(z: LieAlgebraElement) -> GroupElement:
     """Exponential of the algebra element into the group (always floating).
 
@@ -110,6 +115,10 @@ def exp_group(z: LieAlgebraElement) -> GroupElement:
     """
     alpha = float(z.alpha)
     beta = float(z.beta)
+    if alpha > _EXP_MAX_ARG:
+        raise OverflowError(
+            f"exp_group: alpha = {alpha!r} exceeds {_EXP_MAX_ARG!r}, the largest "
+            "exponent whose e^alpha is a finite float")
     a = math.exp(alpha)
     if alpha == 0.0:
         b = beta

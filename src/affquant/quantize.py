@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -26,6 +24,7 @@ from .grids import (DOMAIN_PQ, DOMAIN_S, DOMAIN_ST, DOMAIN_XQ, DomainTagError,
                     tail_mass_fraction)
 from .lie_aff import LieAlgebraElement, bracket
 from .rational import ComplexRational
+from .symbol_algebra import ExpPolySymbol, compose
 
 
 class SeriesDivergenceError(RuntimeError):
@@ -203,61 +202,20 @@ def verify_conjugation(z: LieAlgebraElement, u: GridFunction, r_max: int,
     return float(np.sqrt(np.sum(np.abs(diff) ** 2) * route_series.measure()) / denom)
 
 
-# -- exact operator algebra in the s-coordinate --------------------------------
+# -- exact generator algebra in the s-coordinate --------------------------------
 #
-# First-order operators with exponential coefficients are encoded as maps
-# (derivative order j, frequency k) -> coefficient of e^{ks} d^j/ds^j, with
-# exact Gaussian-rational coefficients.  Composition uses the Leibniz rule,
-# so the generator commutation relations can be checked with zero tolerance.
+# Reading p as d/ds and e^q as e^s, the symbol p^j e^{kq} stands for the
+# operator e^{ks} d^j/ds^j, so the generators are exponential-polynomial
+# symbols and symbol_algebra.compose multiplies them as operators.  The
+# generator commutation relations are then checked with zero tolerance.
 
-def s_operator_terms(alpha, beta) -> dict:
-    """Exact term map of alpha d/ds + i beta e^s.
+def generator_symbol(z: LieAlgebraElement) -> ExpPolySymbol:
+    """Exact symbol of L_Z = alpha d/ds + i beta e^s.
 
     Accepts exact coefficients (int/Fraction) or floats, which convert to
     dyadic rationals without rounding.
     """
-    terms = {}
-    a = ComplexRational(Fraction(alpha))
-    ib = ComplexRational(0, Fraction(beta))
-    if a:
-        terms[(1, 0)] = a
-    if ib:
-        terms[(0, 1)] = ib
-    return terms
-
-
-def compose_s_operators(a_terms: dict, b_terms: dict) -> dict:
-    """Composition A after B of two exponential-coefficient differential operators.
-
-    Uses d^j (e^{k s} w) = sum_i C(j, i) k^{j-i} e^{k s} d^i w.
-    """
-    out: dict = {}
-    for (j1, k1), a in a_terms.items():
-        for (j2, k2), b in b_terms.items():
-            ab = a * b
-            for i in range(j1 + 1):
-                key = (i + j2, k1 + k2)
-                contrib = ab * (comb(j1, i) * k2 ** (j1 - i))
-                acc = out.get(key, ComplexRational(0)) + contrib
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-    return out
-
-
-def s_operator_commutator(terms_a: dict, terms_b: dict) -> dict:
-    """Exact commutator [A, B] of two term maps."""
-    ab = compose_s_operators(terms_a, terms_b)
-    ba = compose_s_operators(terms_b, terms_a)
-    out = dict(ab)
-    for key, c in ba.items():
-        acc = out.get(key, ComplexRational(0)) - c
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-    return out
+    return ExpPolySymbol({(1, 0): z.alpha, (0, 1): ComplexRational(0, z.beta)})
 
 
 def generator_commutator_matches_bracket(z: LieAlgebraElement,
@@ -266,8 +224,5 @@ def generator_commutator_matches_bracket(z: LieAlgebraElement,
 
     Exact when the elements carry rational (or dyadic float) coefficients.
     """
-    lhs = s_operator_commutator(s_operator_terms(z.alpha, z.beta),
-                                s_operator_terms(t.alpha, t.beta))
-    w = bracket(z, t)
-    rhs = s_operator_terms(w.alpha, w.beta)
-    return lhs == rhs
+    a, b = generator_symbol(z), generator_symbol(t)
+    return compose(a, b) - compose(b, a) == generator_symbol(bracket(z, t))

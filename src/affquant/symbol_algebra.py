@@ -14,26 +14,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .rational import CR_HALF_OVER_I, CR_ONE, ComplexRational
-
-
-class PoissonTensor:
-    """The constant antisymmetric 2-tensor of the plane in (p, q) coordinates.
-
-    ``matrix[0][1] = -1`` and ``matrix[1][0] = +1``.  The bidifferential
-    contractions below pair derivatives of the first symbol with the second
-    index slot, so the first-order bracket comes out as the Poisson bracket
-    ``dp(u) dq(v) - dq(u) dp(v)`` (positive orientation).
-    """
-
-    matrix = ((0, -1), (1, 0))
-
-    @classmethod
-    def entry(cls, i: int, j: int) -> int:
-        return cls.matrix[i][j]
-
-
-POISSON_TENSOR = PoissonTensor()
+from .rational import CR_HALF_OVER_I, CR_ONE, CR_ZERO, ComplexRational
 
 
 class ExpPolySymbol:
@@ -54,9 +35,7 @@ class ExpPolySymbol:
                 raise ValueError(f"q-frequency must be an integer, got {k!r}")
             cr = ComplexRational.from_value(c)
             if cr:
-                canon[(m, k)] = canon.get((m, k), ComplexRational(0)) + cr
-                if not canon[(m, k)]:
-                    del canon[(m, k)]
+                canon[(m, k)] = cr
         object.__setattr__(self, "_terms", canon)
 
     def __setattr__(self, name, value):
@@ -231,3 +210,20 @@ def star(u: ExpPolySymbol, v: ExpPolySymbol) -> ExpPolySymbol:
 def star_commutator(u: ExpPolySymbol, v: ExpPolySymbol) -> ExpPolySymbol:
     """star(u, v) - star(v, u)."""
     return star(u, v) - star(v, u)
+
+
+def compose(a: ExpPolySymbol, b: ExpPolySymbol) -> ExpPolySymbol:
+    """Normal-ordered product: the symbol of the operator A after B.
+
+    Reading p^j e^{kq} as the operator e^{ks} d^j/ds^j, composition is
+    a o b = sum_r (1/r!) dp^r a * dq^r b.  Per pair of terms the Leibniz rule
+    d^j (e^{ks} w) = sum_i C(j, i) k^{j-i} e^{ks} d^i w gives the coefficients.
+    """
+    terms = {}
+    for (j1, k1), c1 in a.items():
+        for (j2, k2), c2 in b.items():
+            c = c1 * c2
+            for i in range(j1 + 1):
+                key = (i + j2, k1 + k2)
+                terms[key] = terms.get(key, CR_ZERO) + c * (comb(j1, i) * k2 ** (j1 - i))
+    return ExpPolySymbol(terms)

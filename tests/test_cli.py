@@ -87,6 +87,12 @@ class TestLhatCommand:
         expected = 1j * np.exp(q - x / 2) * partial_fourier(v, tail_warn=None).values
         assert np.allclose(result.values, expected, rtol=1e-12, atol=1e-15)
 
+    def test_apply_without_out_rejected_before_reading(self, capsys, tmp_path):
+        missing = tmp_path / "absent.csv"
+        code = main(["lhat", "--alpha", "1", "--beta", "0", "--apply", str(missing)])
+        assert code == 2
+        assert "--out is required" in capsys.readouterr().err
+
 
 class TestRepCommand:
     def test_flow_and_evolve_agree(self, capsys, tmp_path):

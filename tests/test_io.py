@@ -87,6 +87,22 @@ class TestGridIo:
             back = reader(path)
             assert back.domain == "s" and np.array_equal(back.values, gf.values)
 
+    @pytest.mark.parametrize("edit, count", [
+        (lambda payload: payload[:-8], "127 float64"),
+        (lambda payload: payload + bytes(8), "129 float64"),
+        (lambda payload: payload[:-3], "127.625 float64"),
+    ], ids=["truncated", "extended", "odd_length"])
+    def test_binary_payload_length_checked(self, tmp_path, edit, count):
+        spec = GridSpec(n_p=8, n_q=8)
+        gf = GridFunction(spec, "xq", np.ones((8, 8), dtype=complex))
+        path = tmp_path / "grid.bin"
+        aio.write_grid_binary(gf, path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header + b"\n" + edit(payload))
+        with pytest.raises(ValueError, match=rf"{count} values\) but the header "
+                                             r"declares 128 float64"):
+            aio.read_grid_binary(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n")

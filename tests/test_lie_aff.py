@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,12 @@ class TestExpGroup:
         oracle = expm(as_matrix(z))
         assert abs(g.a - oracle[0, 0]) <= 1e-12 * max(1.0, abs(oracle[0, 0]))
         assert abs(g.b - oracle[0, 1]) <= 1e-12 * max(1.0, abs(oracle[0, 1]))
+
+    def test_overflow_names_alpha_and_limit(self):
+        limit = math.log(sys.float_info.max)
+        assert exp_group(LieAlgebraElement(limit, 0)).a < math.inf
+        with pytest.raises(OverflowError, match=r"alpha = 710\.0 exceeds 709\.78"):
+            exp_group(LieAlgebraElement(710.0, 1.0))
 
     def test_composes_along_the_flow(self):
         z = LieAlgebraElement(0.7, -1.2)

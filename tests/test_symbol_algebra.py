@@ -4,10 +4,11 @@ from math import factorial
 
 import numpy as np
 import pytest
+import sympy
 
-from affquant import (ComplexRational, ExpPolySymbol, POISSON_TENSOR,
-                      LieAlgebraElement, bracket, derive, hamiltonian, p_r,
-                      poisson, star, star_commutator)
+from affquant import (ComplexRational, ExpPolySymbol, LieAlgebraElement,
+                      bracket, compose, derive, hamiltonian, p_r, poisson, star,
+                      star_commutator)
 from affquant.rational import CR_HALF_OVER_I, CR_ONE
 
 P = ExpPolySymbol.p()
@@ -98,13 +99,6 @@ class TestSymbolBasics:
         pv = np.linspace(-1, 1, 5)
         qv = np.linspace(-1, 1, 5)
         assert np.allclose(s.evaluate(pv, qv), 2 * pv - 3 * np.exp(qv))
-
-    def test_poisson_tensor_is_antisymmetric(self):
-        m = POISSON_TENSOR.matrix
-        for i in range(2):
-            for j in range(2):
-                assert m[i][j] == -m[j][i]
-        assert POISSON_TENSOR.entry(0, 1) == -1
 
 
 class TestDerive:
@@ -234,3 +228,27 @@ class TestStarCommutator:
             z, t = rand_element(rng), rand_element(rng)
             lhs = star_commutator(I * hamiltonian(z), I * hamiltonian(t))
             assert lhs == I * hamiltonian(bracket(z, t))
+
+
+class TestCompose:
+    def test_matches_sympy_operator_composition(self):
+        # Independent oracle: read p^j e^{kq} as e^{ks} d^j/ds^j, apply both
+        # operators to an undetermined f(s) with sympy, and compare exactly.
+        s_var = sympy.Symbol("s")
+        f = sympy.Function("f")(s_var)
+
+        def as_operator(sym):
+            def apply(g):
+                return sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+                           * sympy.exp(k * s_var) * sympy.diff(g, s_var, m)
+                           for (m, k), c in sym.items())
+            return apply
+
+        rng = np.random.default_rng(21)
+        for _ in range(12):
+            a = rand_symbol(rng, max_m=3, max_k=3, n_terms=3)
+            b = rand_symbol(rng, max_m=3, max_k=3, n_terms=3)
+            lhs = as_operator(a)(as_operator(b)(f))
+            rhs = as_operator(compose(a, b))(f)
+            assert sympy.expand(lhs - rhs) == 0
