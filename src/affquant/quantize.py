@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -218,11 +219,22 @@ def generator_symbol(z: LieAlgebraElement) -> ExpPolySymbol:
     return ExpPolySymbol({(1, 0): z.alpha, (0, 1): ComplexRational(0, z.beta)})
 
 
+def _exact_coefficients(z: LieAlgebraElement) -> LieAlgebraElement:
+    """z with each float coefficient replaced by the Fraction it equals."""
+    if not (isinstance(z.alpha, float) or isinstance(z.beta, float)):
+        return z
+    return LieAlgebraElement(*(Fraction(c) if isinstance(c, float) else c
+                               for c in (z.alpha, z.beta)))
+
+
 def generator_commutator_matches_bracket(z: LieAlgebraElement,
                                          t: LieAlgebraElement) -> bool:
     """Whether [L_Z, L_T] equals L_[Z,T] exactly at the coefficient level.
 
-    Exact when the elements carry rational (or dyadic float) coefficients.
+    Exact when the elements carry rational (or dyadic float) coefficients:
+    float coefficients are converted to their exact ``Fraction`` values
+    first, so the bracket of a float and a Fraction is not rounded.
     """
+    z, t = _exact_coefficients(z), _exact_coefficients(t)
     a, b = generator_symbol(z), generator_symbol(t)
     return compose(a, b) - compose(b, a) == generator_symbol(bracket(z, t))

@@ -5,7 +5,7 @@ from affquant import (DomainTagError, GridFunction, GridSpec, cosine_taper,
                       fd8_derivative, gaussian_pq, inverse_partial_fourier,
                       norm_l2, partial_fourier, plane_wave_xq,
                       spectral_derivative, tail_mass_fraction)
-from affquant.grids import plane_wave_frequencies
+from affquant.grids import _FD8_COEFFS, FD8_MAX_FREQ, plane_wave_frequencies
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +109,46 @@ class TestDerivatives:
         d2 = spectral_derivative(vals[None, :], 1, spec.dq, order=2)[0]
         exact = (4 * q ** 2 - 2) * np.exp(-q ** 2)
         assert np.max(np.abs(d2 - exact)) < 1e-9
+
+    def test_fd8_coefficients_match_fornberg_weights(self):
+        sympy = pytest.importorskip("sympy")
+        weights = sympy.finite_diff_weights(1, list(range(-4, 5)), 0)[1][-1]
+        # weights[4 + k] is the weight of f_{j+k}; it equals c_k exactly
+        for k, c in enumerate(_FD8_COEFFS, start=1):
+            assert sympy.nsimplify(c, rational=True) == weights[4 + k] == -weights[4 - k]
+
+    def test_fd8_max_freq_is_the_symbol_maximum(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        # symbol of the stencil: i * 2 sum_k c_k sin(k theta) / delta
+        coeffs = [4 / 5, -1 / 5, 4 / 105, -1 / 280]
+
+        def neg_symbol(theta):
+            return -abs(2 * sum(c * np.sin(k * theta) for k, c in enumerate(coeffs, 1)))
+
+        theta = np.linspace(0, np.pi, 100_001)
+        start = theta[np.argmin(neg_symbol(theta))]
+        best = optimize.minimize_scalar(neg_symbol, bounds=(start - 1e-3, start + 1e-3),
+                                        method="bounded", options={"xatol": 1e-12})
+        assert FD8_MAX_FREQ == pytest.approx(-best.fun, abs=1e-10)
+
+    @pytest.mark.parametrize("shape, axis", [((512,), 0), ((64, 48), 0), ((64, 48), 1)],
+                             ids=["1d", "2d-axis0", "2d-axis1"])
+    def test_fd8_equals_roll_formula_bitwise(self, shape, axis):
+        rng = np.random.default_rng(8)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        delta = 0.0371
+        ref = np.zeros_like(vals)
+        for offset, c in enumerate([4 / 5, -1 / 5, 4 / 105, -1 / 280], start=1):
+            ref += c * (np.roll(vals, -offset, axis=axis) - np.roll(vals, offset, axis=axis))
+        ref = ref / delta
+        assert np.array_equal(fd8_derivative(vals, axis, delta), ref)
+        out = np.empty_like(vals)
+        assert fd8_derivative(vals, axis, delta, out=out) is out
+        assert np.array_equal(out, ref)
+
+    def test_fd8_rejects_too_few_samples(self):
+        with pytest.raises(ValueError, match="at least 4 samples"):
+            fd8_derivative(np.zeros(3, complex), 0, 0.1)
 
     def test_fd8_rejects_higher_orders(self):
         from affquant.grids import derivative

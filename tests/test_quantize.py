@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affquant import (ExpPolySymbol, GeneratorOp, GridFunction, GridSpec,
                       LieAlgebraElement, SeriesDivergenceError, X, Y,
@@ -160,6 +162,13 @@ class TestToSCoordinates:
             to_s_coordinates(rough)
 
 
+# ints, Fractions and dyadic floats: each converts to a rational without rounding
+_MIXED_COEFF = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(max_denominator=60),
+    st.builds(lambda m, e: m / 2.0 ** e, st.integers(-1000, 1000), st.integers(0, 12)))
+
+
 class TestSOperatorAlgebra:
     def test_shift_past_exponential(self):
         # [d/ds, e^s] = e^s as operators
@@ -175,6 +184,17 @@ class TestSOperatorAlgebra:
             t = LieAlgebraElement(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9))),
                                   Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9))))
             assert generator_commutator_matches_bracket(z, t)
+
+    def test_commutator_of_float_and_fraction_is_exact(self):
+        # 2.0 * (1/3) must not be rounded on the way through the bracket
+        assert generator_commutator_matches_bracket(LieAlgebraElement(2.0, -3.0),
+                                                    LieAlgebraElement(1, Fraction(1, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[_MIXED_COEFF] * 4))
+    def test_commutator_matches_bracket_for_mixed_coefficients(self, c):
+        z, t = LieAlgebraElement(c[0], c[1]), LieAlgebraElement(c[2], c[3])
+        assert generator_commutator_matches_bracket(z, t)
 
     def test_commutator_on_lattice(self, spec):
         n = 4096

@@ -10,6 +10,7 @@ from affquant import (GroupElement, HalfLineFunction, LatticeMismatchError,
                       check_generator, evolve_cauchy, exp_group,
                       generator_on_lattice, inner_product, norm, rep_apply,
                       rep_one_param)
+from affquant.grids import derivative
 
 
 def rel_err(f, g):
@@ -151,6 +152,36 @@ class TestEvolveCauchy:
     def test_cfl_diagnostic(self, f):
         with pytest.warns(RuntimeWarning, match="stability"):
             evolve_cauchy(Y, 1.0, f, 50, method="rk4")
+
+    def test_unstable_run_raises_instead_of_returning_nan(self, sigma):
+        f6 = HalfLineFunction.gaussian(sigma=sigma, s_max=6.0, n=4096)
+        # numpy's own overflow warnings on the way to NaN are not under test
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(RuntimeWarning, match="stability"), \
+                pytest.raises(FloatingPointError, match=r"\|lambda\| dt = .*2\*sqrt\(2\)"):
+            evolve_cauchy(LieAlgebraElement(2.0, -3.0), 1.0, f6, 1000,
+                          method="rk4", deriv="spectral")
+
+    @pytest.mark.parametrize("deriv", ["spectral", "fd8"])
+    def test_rk4_equals_allocating_form_bitwise(self, sigma, deriv):
+        f4 = HalfLineFunction.gaussian(sigma=sigma, s_max=4.0, n=256, center=0.3)
+        alpha, beta, t, steps = 1.0, -1.3, 0.5, 50
+        dt = t / steps
+        mult = 1j * beta * sigma * np.exp(f4.s_values())
+
+        def rhs(w):
+            return alpha * derivative(w, 0, f4.ds, method=deriv) + mult * w
+
+        u = f4.values.copy()
+        for _ in range(steps):
+            k1 = rhs(u)
+            k2 = rhs(u + 0.5 * dt * k1)
+            k3 = rhs(u + 0.5 * dt * k2)
+            k4 = rhs(u + dt * k3)
+            u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out = evolve_cauchy(LieAlgebraElement(alpha, beta), t, f4, steps,
+                            method="rk4", deriv=deriv)
+        assert np.array_equal(out.values, u)
 
     def test_rejects_bad_arguments(self, f):
         with pytest.raises(ValueError):
