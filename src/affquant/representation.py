@@ -85,6 +85,8 @@ class HalfLineFunction:
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.ndim != 1:
             raise ValueError("half-line samples must be one-dimensional")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("half-line samples must be finite")
 
     @property
     def n(self) -> int:

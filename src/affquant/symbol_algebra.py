@@ -10,11 +10,11 @@ deg_p(u) + deg_p(v) terms and can be evaluated exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 
-from .rational import CR_HALF_OVER_I, CR_ONE, CR_ZERO, ComplexRational
+from .rational import ComplexRational
 
 
 class ExpPolySymbol:
@@ -165,6 +165,90 @@ def derive(u: ExpPolySymbol, var: str, order: int = 1) -> ExpPolySymbol:
     return ExpPolySymbol(terms)
 
 
+def _integer_form(u: ExpPolySymbol):
+    """u's terms as (m, k, a, b) with c_{m,k} = (a + b i) / den, and den.
+
+    den is the lcm of all coefficient denominators, so a and b are integers.
+    """
+    den = 1
+    for c in u._terms.values():
+        den = lcm(den, c.re.denominator, c.im.denominator)
+    terms = [(m, k, c.re.numerator * (den // c.re.denominator),
+              c.im.numerator * (den // c.im.denominator))
+             for (m, k), c in u._terms.items()]
+    return terms, den
+
+
+def _binomial_row(m: int, x: int) -> list:
+    """Coefficients C(m, r) x^r of (1 + x t)^m, for r = 0..m."""
+    return [comb(m, r) * x**r for r in range(m + 1)]
+
+
+def _moyal_series(m1, k1, m2, k2):
+    """S_r with (1/r!) P^r(p^m1 e^{k1 q}, p^m2 e^{k2 q}) = S_r p^{m1+m2-r} e^{(k1+k2)q}.
+
+    S_r = sum_j C(m1, j) C(m2, r-j) k2^j (-k1)^{r-j}, the t^r coefficient of
+    (1 + k2 t)^m1 (1 - k1 t)^m2, because
+    C(r, j) m1!/(m1-j)! m2!/(m2-r+j)! = r! C(m1, j) C(m2, r-j).
+    """
+    left, right = _binomial_row(m1, k2), _binomial_row(m2, -k1)
+    out = [0] * (m1 + m2 + 1)
+    for j, x in enumerate(left):
+        if x:
+            for i, y in enumerate(right):
+                out[i + j] += x * y
+    return out
+
+
+def _normal_series(m1, k1, m2, k2):
+    """S_r with (1/r!) dp^r(p^m1 e^{k1 q}) dq^r(p^m2 e^{k2 q}) = S_r p^{m1+m2-r} e^{(k1+k2)q}."""
+    return _binomial_row(m1, k2)
+
+
+def _contract(u, v, series, weights: dict, den: int = 1) -> ExpPolySymbol:
+    """The exact product engine behind p_r, star, star_commutator and compose.
+
+    Returns the sum over term pairs of c1 c2 sum_r (w_r / den) S_r
+    p^{m1+m2-r} e^{(k1+k2)q}, with S_r = series(m1, k1, m2, k2)[r] and w_r
+    the Gaussian integer ``weights[r]`` as (re, im); orders missing from
+    ``weights`` are skipped.  Each operand is brought once to integer
+    numerators over one denominator, all sums are taken in Gaussian integers,
+    and each output coefficient becomes one pair of Fractions at the end
+    (the constructor drops those that cancelled to zero).
+    """
+    tu, du = _integer_form(u)
+    tv, dv = _integer_form(v)
+    acc = {}
+    for m1, k1, a1, b1 in tu:
+        for m2, k2, a2, b2 in tv:
+            g_re, g_im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            m, k = m1 + m2, k1 + k2
+            for r, s in enumerate(series(m1, k1, m2, k2)):
+                w = weights.get(r)
+                if not s or w is None:
+                    continue
+                re = s * (g_re * w[0] - g_im * w[1])
+                im = s * (g_re * w[1] + g_im * w[0])
+                cell = acc.get((m - r, k))
+                if cell is None:
+                    acc[(m - r, k)] = [re, im]
+                else:
+                    cell[0] += re
+                    cell[1] += im
+    den *= du * dv
+    return ExpPolySymbol({key: ComplexRational(Fraction(re, den), Fraction(im, den))
+                          for key, (re, im) in acc.items()})
+
+
+def _star_weights(r_max: int, orders, times: int = 1) -> dict:
+    """w_r = times (-i)^r 2^(r_max - r), so w_r / 2^r_max = times (1/2i)^r."""
+    weights = {}
+    for r in orders:
+        scale = times << (r_max - r)
+        weights[r] = ((scale, 0), (0, -scale), (-scale, 0), (0, scale))[r % 4]
+    return weights
+
+
 def p_r(u: ExpPolySymbol, v: ExpPolySymbol, r: int) -> ExpPolySymbol:
     """The r-fold bidifferential contraction against the constant tensor.
 
@@ -172,19 +256,12 @@ def p_r(u: ExpPolySymbol, v: ExpPolySymbol, r: int) -> ExpPolySymbol:
 
         P^r(u, v) = sum_j C(r, j) (-1)^{r-j} dp^j dq^{r-j} u * dp^{r-j} dq^j v,
 
-    with P^0(u, v) = u v and P^1 the Poisson bracket.
+    with P^0(u, v) = u v and P^1 the Poisson bracket.  Per pair of terms it
+    is r! S_r p^{m1+m2-r} e^{(k1+k2)q} (see ``_moyal_series``).
     """
     if r < 0:
         raise ValueError("order r must be non-negative")
-    if r == 0:
-        return u * v
-    acc = ExpPolySymbol.zero()
-    for j in range(r + 1):
-        sign = 1 if (r - j) % 2 == 0 else -1
-        left = derive(derive(u, "p", j), "q", r - j)
-        right = derive(derive(v, "p", r - j), "q", j)
-        acc = acc + (comb(r, j) * sign) * (left * right)
-    return acc
+    return _contract(u, v, _moyal_series, {r: (factorial(r), 0)})
 
 
 def poisson(u: ExpPolySymbol, v: ExpPolySymbol) -> ExpPolySymbol:
@@ -198,18 +275,18 @@ def star(u: ExpPolySymbol, v: ExpPolySymbol) -> ExpPolySymbol:
     On this algebra every P^r with r > deg_p(u) + deg_p(v) vanishes, so the
     series is a finite sum and the result is exact.
     """
-    r_max = u.deg_p() + v.deg_p()
-    acc = u * v
-    coeff = CR_ONE
-    for r in range(1, r_max + 1):
-        coeff = coeff * CR_HALF_OVER_I
-        acc = acc + (coeff * Fraction(1, factorial(r))) * p_r(u, v, r)
-    return acc
+    r_max = max(u.deg_p() + v.deg_p(), 0)
+    return _contract(u, v, _moyal_series, _star_weights(r_max, range(r_max + 1)), 1 << r_max)
 
 
 def star_commutator(u: ExpPolySymbol, v: ExpPolySymbol) -> ExpPolySymbol:
-    """star(u, v) - star(v, u)."""
-    return star(u, v) - star(v, u)
+    """star(u, v) - star(v, u).
+
+    P^r(v, u) = (-1)^r P^r(u, v), so only the odd orders remain, doubled.
+    """
+    r_max = max(u.deg_p() + v.deg_p(), 0)
+    return _contract(u, v, _moyal_series, _star_weights(r_max, range(1, r_max + 1, 2), 2),
+                     1 << r_max)
 
 
 def compose(a: ExpPolySymbol, b: ExpPolySymbol) -> ExpPolySymbol:
@@ -217,13 +294,7 @@ def compose(a: ExpPolySymbol, b: ExpPolySymbol) -> ExpPolySymbol:
 
     Reading p^j e^{kq} as the operator e^{ks} d^j/ds^j, composition is
     a o b = sum_r (1/r!) dp^r a * dq^r b.  Per pair of terms the Leibniz rule
-    d^j (e^{ks} w) = sum_i C(j, i) k^{j-i} e^{ks} d^i w gives the coefficients.
+    d^j (e^{ks} w) = sum_i C(j, i) k^{j-i} e^{ks} d^i w gives the coefficient
+    C(j1, r) k2^r of p^{j1+j2-r} e^{(k1+k2)s}.
     """
-    terms = {}
-    for (j1, k1), c1 in a.items():
-        for (j2, k2), c2 in b.items():
-            c = c1 * c2
-            for i in range(j1 + 1):
-                key = (i + j2, k1 + k2)
-                terms[key] = terms.get(key, CR_ZERO) + c * (comb(j1, i) * k2 ** (j1 - i))
-    return ExpPolySymbol(terms)
+    return _contract(a, b, _normal_series, {r: (1, 0) for r in range(a.deg_p() + 1)})

@@ -1,0 +1,25 @@
+"""Each script in demos/ runs to completion, with RuntimeWarnings as errors."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_all_demos_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(script, tmp_path):
+    # cwd is a temporary directory because demo 04 writes evolved_profile.csv there
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -127,3 +127,14 @@ class TestHalfLineIo:
         assert lines[0].startswith("# {")
         s0, re0, im0 = lines[1].split(",")
         assert float(s0) == -2.0 and float(re0) == 1.0 and float(im0) == 2.0
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "f.csv"
+        path.write_text('# {"S": 2.0, "n": 4, "sigma": 1}\n'
+                        "-2.0,1.0,0.0\n"
+                        f"-1.0,{cell},0.0\n"
+                        "0.0,0.0,1.0\n"
+                        "1.0,0.0,0.0\n")
+        with pytest.raises(ValueError, match="finite"):
+            aio.read_halfline_csv(path)

@@ -283,3 +283,7 @@ class TestHalfLineFunction:
             HalfLineFunction(0, 8.0, np.zeros(16))
         with pytest.raises(ValueError):
             HalfLineFunction(1, -1.0, np.zeros(16))
+        with pytest.raises(ValueError, match="finite"):
+            HalfLineFunction(1, 8.0, np.array([0.0, np.nan, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="finite"):
+            HalfLineFunction(1, 8.0, np.array([0.0, 1j * np.inf, 1.0, 2.0]))

@@ -5,6 +5,8 @@ from math import factorial
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affquant import (ComplexRational, ExpPolySymbol, LieAlgebraElement,
                       bracket, compose, derive, hamiltonian, p_r, poisson, star,
@@ -27,6 +29,11 @@ def rand_symbol(rng, max_m=3, max_k=3, n_terms=4):
         key = (int(rng.integers(0, max_m + 1)), int(rng.integers(-max_k, max_k + 1)))
         terms[key] = rand_coeff(rng)
     return ExpPolySymbol(terms)
+
+
+def _sympy_value(c):
+    return (sympy.Rational(c.re.numerator, c.re.denominator)
+            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
 
 
 def rand_element(rng):
@@ -239,9 +246,7 @@ class TestCompose:
 
         def as_operator(sym):
             def apply(g):
-                return sum((sympy.Rational(c.re.numerator, c.re.denominator)
-                            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
-                           * sympy.exp(k * s_var) * sympy.diff(g, s_var, m)
+                return sum(_sympy_value(c) * sympy.exp(k * s_var) * sympy.diff(g, s_var, m)
                            for (m, k), c in sym.items())
             return apply
 
@@ -252,3 +257,124 @@ class TestCompose:
             lhs = as_operator(a)(as_operator(b)(f))
             rhs = as_operator(compose(a, b))(f)
             assert sympy.expand(lhs - rhs) == 0
+
+
+class TestStarSympyOracle:
+    def test_moyal_series_matches_sympy(self):
+        # Independent oracle: with w = e^q a symbol is a Laurent polynomial in
+        # (p, w), held in sympy's ring Q(i)[p, w] as w^3 times itself so every
+        # frequency -3..3 is a plain power; d/dq then acts as w d/dw - 3.
+        # sympy expands the whole series, which ends up times w^6.
+        ring, p, w = sympy.ring("p,w", sympy.QQ_I)
+
+        def poly(sym, shift):
+            return sum((sympy.QQ_I.from_sympy(_sympy_value(c)) * p**m * w**(k + shift)
+                        for (m, k), c in sym.items()), ring.zero)
+
+        def d(f, a, b):
+            for _ in range(a):
+                f = f.diff(p)
+            for _ in range(b):
+                f = w * f.diff(w) - 3 * f
+            return f
+
+        rng = np.random.default_rng(22)
+        for _ in range(16):
+            u = rand_symbol(rng, max_m=5, max_k=3, n_terms=3)
+            v = rand_symbol(rng, max_m=5, max_k=3, n_terms=3)
+            fu, fv = poly(u, 3), poly(v, 3)
+            series = ring.zero
+            for r in range(u.deg_p() + v.deg_p() + 1):
+                weight = sympy.QQ_I.from_sympy((-sympy.I / 2) ** r / sympy.factorial(r))
+                for j in range(r + 1):
+                    series += (weight * sympy.binomial(r, j) * (-1) ** (r - j)
+                               * d(fu, j, r - j) * d(fv, r - j, j))
+            assert series == poly(star(u, v), 6)
+
+
+_COEFF = st.builds(ComplexRational,
+                   st.fractions(min_value=-6, max_value=6, max_denominator=7),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=7))
+
+
+def _symbols(max_m):
+    return st.dictionaries(st.tuples(st.integers(0, max_m), st.integers(-3, 3)), _COEFF,
+                           max_size=3).map(ExpPolySymbol)
+
+
+class TestKernelProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(_symbols(4), _symbols(4))
+    def test_commutator_is_difference_of_stars(self, u, v):
+        assert star_commutator(u, v) == star(u, v) - star(v, u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_symbols(4), _symbols(4), st.integers(0, 9))
+    def test_contraction_antisymmetry(self, u, v, r):
+        assert p_r(v, u, r) == (-1) ** r * p_r(u, v, r)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_symbols(4), _symbols(4), st.integers(0, 8))
+    def test_contraction_matches_brute_force(self, u, v, r):
+        assert p_r(u, v, r) == p_r_oracle(u, v, r)
+
+
+class TestKernelEdgeCases:
+    def test_zero_operand(self):
+        zero = ExpPolySymbol.zero()
+        v = ExpPolySymbol({(3, -2): Fraction(1, 3), (1, 0): I})
+        for a, b in ((zero, v), (v, zero), (zero, zero)):
+            assert star(a, b).is_zero()
+            assert star_commutator(a, b).is_zero()
+            assert compose(a, b).is_zero()
+            for r in range(4):
+                assert p_r(a, b, r).is_zero()
+
+    def test_constant_operand(self):
+        c = ExpPolySymbol.monomial(0, 0, ComplexRational(Fraction(2, 3), -1))
+        v = ExpPolySymbol({(3, -2): Fraction(1, 3), (1, 1): I, (0, 0): 5})
+        assert star(c, v) == star(v, c) == c * v
+        assert compose(c, v) == compose(v, c) == c * v
+        assert star_commutator(c, v).is_zero()
+        assert p_r(c, v, 0) == c * v
+        for r in range(1, 5):
+            assert p_r(c, v, r).is_zero()
+
+    def test_order_above_total_degree(self):
+        u = ExpPolySymbol({(2, 1): 1, (0, -1): Fraction(1, 2)})
+        v = ExpPolySymbol({(1, 3): I})
+        assert not p_r(u, v, 3).is_zero()
+        for r in (4, 5, 40):
+            assert p_r(u, v, r).is_zero()
+
+    def test_cancelled_coefficients_are_not_stored(self):
+        u = P + EQ
+        v = EQ - P
+        assert p_r(u, v, 0) == ExpPolySymbol({(2, 0): -1, (0, 2): 1})
+        got = star(u, v)
+        assert got == ExpPolySymbol({(2, 0): -1, (0, 2): 1, (0, 1): -I})
+        assert (1, 1) not in dict(got.items())
+        assert dict(star_commutator(u, u).items()) == {}
+
+    def test_lowest_terms_match_direct_construction(self):
+        u = ExpPolySymbol.monomial(1, 0, Fraction(1, 2))
+        v = ExpPolySymbol.monomial(0, 1, ComplexRational(Fraction(2, 3), Fraction(4, 6)))
+        got = star(u, v)
+        expected = ExpPolySymbol({(1, 1): ComplexRational(Fraction(1, 3), Fraction(1, 3)),
+                                  (0, 1): ComplexRational(Fraction(1, 6), Fraction(-1, 6))})
+        assert got == expected
+        assert hash(got) == hash(expected)
+        for _key, c in got.items():
+            for part in (c.re, c.im):
+                assert type(part) is Fraction
+                assert sympy.igcd(part.numerator, part.denominator) == 1
+
+    def test_dyadic_float_coefficients_stay_exact(self):
+        floats = ExpPolySymbol({(2, 1): 0.375, (1, -1): 0.5 - 0.25j})
+        exact = ExpPolySymbol({(2, 1): Fraction(3, 8),
+                               (1, -1): ComplexRational(Fraction(1, 2), Fraction(-1, 4))})
+        other = ExpPolySymbol({(3, 2): 1.5, (0, 0): -0.125j})
+        assert star(floats, other) == star(exact, other)
+        assert star_commutator(other, floats) == star_commutator(other, exact)
+        assert compose(floats, other) == compose(exact, other)
+        assert p_r(floats, other, 3) == p_r(exact, other, 3)
